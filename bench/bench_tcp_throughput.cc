@@ -1,4 +1,4 @@
-// Real-socket throughput of the parallel execution pipeline (docs/TRANSPORT.md):
+// Real-socket throughput of strand execution (docs/TRANSPORT.md "Strand execution"):
 // deploys one Basil shard (f=1, 6 replicas) plus closed-loop clients as TcpRuntimes
 // in this process — real threads, real TCP frames, real HMAC/Merkle crypto — and
 // measures commits/sec as the per-node worker count N sweeps {1, 2, 4, 8}. Each row
@@ -8,12 +8,14 @@
 //   bench_tcp_throughput [--smoke] [--clients C] [--duration-ms D] [--out PATH]
 //
 // --smoke (CI, ctest `tcp_throughput_smoke`): N=2 only, short duration, exits
-// nonzero unless transactions committed and every signature check ran on the crypto
-// pool — the regression guard for the parallel path.
+// nonzero unless transactions committed, every signature check ran on the crypto
+// pool, and handler work was posted to the strands — the regression guard for the
+// parallel path.
 //
 // Every run (smoke included) also writes a "basil-bench-v1" artifact (default
-// BENCH_tcp_throughput.json) with the sweep rows plus per-stage latency
-// distributions merged from every runtime's metrics registry
+// BENCH_tcp_throughput.json) with the sweep rows — commit latency from the merged
+// client commit spans, wire bytes from the transport counters — plus per-stage
+// latency distributions merged from every runtime's metrics registry
 // (docs/OBSERVABILITY.md).
 #include <algorithm>
 #include <atomic>
@@ -84,7 +86,7 @@ Task<void> DriveUntilStopped(BasilClient* client, uint32_t keyspace,
 
 struct Row {
   uint32_t workers = 0;
-  uint32_t partitions = 0;
+  uint32_t partitions = 0;   // Execution partitions per replica (= strands).
   double tcp_tps = 0;
   uint64_t committed = 0;
   uint64_t attempts = 0;
@@ -96,6 +98,7 @@ struct Row {
   uint64_t pool_hits = 0;    // BufferPool rents served from a freelist (all nodes).
   uint64_t pool_misses = 0;  // Rents that had to allocate.
   uint64_t dropped = 0;      // Outbox frames shed under backpressure (must be 0).
+  RunResult result;          // The artifact row.
 };
 
 // Worst p99 across the per-worker strand queue depth histograms
@@ -122,9 +125,6 @@ double MaxStrandDepthP99(const obs::MetricsRegistry& metrics, uint32_t workers) 
 bool MeasureTcp(const BenchOptions& opt, uint32_t workers, uint16_t port_base,
                 Row* row, BenchJson* artifact) {
   BasilConfig basil;  // f=1, 1 shard, signatures + batching on (defaults).
-  // One execution partition per strand worker (docs/TRANSPORT.md "Partitioned
-  // execution state"): handlers run end-to-end on the owning strand.
-  basil.exec_partitions = workers;
   Topology topo;
   topo.num_shards = 1;
   topo.replicas_per_shard = basil.n();
@@ -182,7 +182,7 @@ bool MeasureTcp(const BenchOptions& opt, uint32_t workers, uint16_t port_base,
         [st = &states[i]]() { return st->stopped; }, 20'000'000'000ull);
   }
   row->workers = workers;
-  row->partitions = basil.exec_partitions;
+  row->partitions = replica_rts.front()->strands();
   for (const ClientState& st : states) {
     row->committed += st.committed;
     row->attempts += st.attempts;
@@ -197,25 +197,30 @@ bool MeasureTcp(const BenchOptions& opt, uint32_t workers, uint16_t port_base,
   }
   // Allocation-lean hot path accounting: pool hit rate across every runtime in the
   // deployment (replicas and clients rent encode scratch, outbox frames, and
-  // receive blocks from their runtime's pool), plus backpressure drops.
+  // receive blocks from their runtime's pool), plus backpressure drops. Per-stage
+  // spans, queue waits, and transport counters merge across every node (workers
+  // are quiescent by now; histogram merges add bucket-wise).
+  obs::MetricsRegistry merged;
   for (auto* rts : {&replica_rts, &client_rts}) {
     for (auto& rt : *rts) {
-      rt->PublishAllocMetrics();
+      rt->PublishMetrics();
       const BufferPool::Stats s = rt->pool().stats();
       row->pool_hits += s.hits;
       row->pool_misses += s.misses;
       row->dropped += rt->dropped_frames();
+      merged.MergeFrom(rt->metrics());
     }
   }
-  // Per-stage spans and queue-wait distributions, merged across every node in the
-  // deployment (workers are quiescent by now; histogram merges add bucket-wise).
+  RunResult& rr = row->result;
+  rr.tput_tps = row->tcp_tps;
+  rr.committed = row->committed;
+  rr.attempts = row->attempts;
+  rr.commit_rate = row->attempts > 0 ? static_cast<double>(row->committed) /
+                                           static_cast<double>(row->attempts)
+                                     : 0;
+  FillFromMergedMetrics(merged, &rr);
   if (artifact != nullptr) {
-    for (auto& rt : replica_rts) {
-      artifact->AddStages(rt->metrics());
-    }
-    for (auto& rt : client_rts) {
-      artifact->AddStages(rt->metrics());
-    }
+    artifact->AddStages(merged);
   }
   for (auto& rt : client_rts) {
     rt->Stop();
@@ -306,14 +311,7 @@ int Main(int argc, char** argv) {
                 row.sim_tps);
     std::fflush(stdout);
 
-    RunResult rr;
-    rr.tput_tps = row.tcp_tps;
-    rr.committed = row.committed;
-    rr.attempts = row.attempts;
-    rr.commit_rate = row.attempts > 0 ? static_cast<double>(row.committed) /
-                                            static_cast<double>(row.attempts)
-                                      : 0;
-    artifact.AddRow("workers=" + std::to_string(row.workers), rr);
+    artifact.AddRow("workers=" + std::to_string(row.workers), row.result);
     artifact.AddParam("sim_tps_w" + std::to_string(row.workers), row.sim_tps);
     artifact.AddParam("partitions_w" + std::to_string(row.workers),
                       static_cast<uint64_t>(row.partitions));
@@ -352,10 +350,10 @@ int Main(int argc, char** argv) {
                    static_cast<unsigned long long>(row.offloaded));
       return 1;
     }
-    if (row.workers > 0 && row.partitions > 0 && row.posted == 0) {
+    if (row.workers > 0 && row.posted == 0) {
       std::fprintf(stderr,
                    "FAIL: workers=%u partitions=%u but no handler work was posted "
-                   "to the strands — partitioned execution never left the loop\n",
+                   "to the strands — execution never left the loop\n",
                    row.workers, row.partitions);
       return 1;
     }

@@ -68,8 +68,12 @@ if ! "$METRICS_MERGE" --check "$SNAP"; then
   cat "$SNAP"
   exit 1
 fi
-# Spot-check that runtime instrumentation is present in the dump.
-for name in "rt.loop.queue_wait_ns" "rt.strand.queue_depth"; do
+# Spot-check that runtime instrumentation is present in the dump, including the
+# transport counters published at dump time (TcpRuntime::PublishMetrics).
+for name in "rt.loop.queue_wait_ns" "rt.strand.queue_depth" \
+    "rt.net.msgs_sent" "rt.net.msgs_received" "rt.net.bytes_sent" \
+    "rt.net.bytes_received" "rt.net.decode_failures" "rt.strand.posted_tasks" \
+    "rt.crypto.inline_checks" "rt.crypto.offloaded_checks"; do
   if ! grep -q "$name" "$SNAP"; then
     echo "FAIL: snapshot is missing metric $name"
     exit 1

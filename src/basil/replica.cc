@@ -23,7 +23,8 @@ BasilReplica::BasilReplica(Runtime* rt, const BasilConfig* cfg, const Topology* 
       shard_(topo->ShardOfReplicaNode(id())),
       index_(topo->ReplicaIndex(id())),
       tracer_(&rt->metrics()) {
-  const uint32_t n_parts = std::max<uint32_t>(1, cfg->exec_partitions);
+  // One execution partition per strand the runtime runs (1 when Post is inline).
+  const uint32_t n_parts = rt->strands();
   parts_.resize(n_parts);
   // Key partitions line up with execution partitions, so a read routed by
   // PartOfKey lands on the strand whose store shard it touches.
@@ -41,24 +42,7 @@ const BasilReplica::TxnState* BasilReplica::FindState(const TxnDigest& digest) c
 }
 
 void BasilReplica::RunOnPart(size_t part, std::function<void()> fn) {
-  if (!partitioned()) {
-    fn();
-    return;
-  }
   Post(static_cast<StrandKey>(part), [fn = std::move(fn)](CostMeter&) { fn(); });
-}
-
-void BasilReplica::VerifyOnHome(size_t part, VerifyFn check,
-                                std::function<void(bool)> then) {
-  if (!partitioned()) {
-    VerifyThen(cfg_->parallel_pipeline, std::move(check), std::move(then));
-    return;
-  }
-  if (!cfg_->parallel_pipeline) {
-    then(check(meter()));
-    return;
-  }
-  Verify1On(static_cast<StrandKey>(part), std::move(check), std::move(then));
 }
 
 std::optional<Vote> BasilReplica::VoteFor(const TxnDigest& txn) const {
@@ -235,26 +219,11 @@ void BasilReplica::OnSt1(NodeId src, std::shared_ptr<const St1Msg> msg) {
     return;
   }
   // The body must hash to its claimed digest — every downstream structure (votes,
-  // certificates, version chains) is keyed by it. The hash is the heavy, pure part
-  // of ST1 intake: it runs on the strand of the claimed digest (serialized per
-  // transaction, parallel across transactions on the TCP backend; inline and
-  // cost-free on the simulator, whose ST1 bodies are shared pointers that were
-  // hashed at Finalize time), then intake continues in the handler context.
-  if (partitioned()) {
-    // Partitioned mode: hash and the full intake run on the owning strand — one
-    // hop, end-to-end, nothing returns to the loop.
-    RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
-      const uint64_t t0 = now();
-      if (!St1BodyDigestOk(*msg)) {
-        counters_.Inc("st1_bad_digest");
-        return;
-      }
-      tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      St1Arrived(src, msg);
-    });
-    return;
-  }
-  if (!cfg_->parallel_pipeline) {
+  // certificates, version chains) is keyed by it. The hash and the full intake run
+  // on the owning strand: one hop, end-to-end, nothing returns to the loop. The
+  // span is the wall duration of the hash (0 on the simulator, whose clock stands
+  // still within one work item).
+  RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
     const uint64_t t0 = now();
     if (!St1BodyDigestOk(*msg)) {
       counters_.Inc("st1_bad_digest");
@@ -262,25 +231,7 @@ void BasilReplica::OnSt1(NodeId src, std::shared_ptr<const St1Msg> msg) {
     }
     tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
     St1Arrived(src, msg);
-    return;
-  }
-  auto body_ok = std::make_shared<bool>(false);
-  Post(
-      StrandOfDigest(msg->txn->id),
-      [this, msg, body_ok](CostMeter&) {
-        // Wall duration of the strand-side hash (0 on the simulator, whose clock
-        // stands still within one work item). now() is thread-safe on both backends.
-        const uint64_t t0 = now();
-        *body_ok = St1BodyDigestOk(*msg);
-        tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      },
-      [this, src, msg, body_ok]() {
-        if (!*body_ok) {
-          counters_.Inc("st1_bad_digest");
-          return;
-        }
-        St1Arrived(src, msg);
-      });
+  });
 }
 
 void BasilReplica::St1Arrived(NodeId src, const std::shared_ptr<const St1Msg>& msg) {
@@ -352,7 +303,7 @@ void BasilReplica::RegisterArrivalWaits(const TxnDigest& digest, size_t i,
                                         bool any_missing) {
   TxnState& s = GetState(digest);
   if (s.phase != CheckPhase::kAwaitArrival || s.vote.has_value()) {
-    return;  // A vote raced the registration hops (TCP backend only).
+    return;  // A vote raced the registration hops (strand pools only).
   }
   const Transaction& txn = *s.txn;
   if (i >= txn.deps.size()) {
@@ -486,7 +437,7 @@ void BasilReplica::Step7Register(const TxnDigest& digest, size_t i) {
       }
       if (decided && dec == Decision::kAbort) {
         // The dependency's abort surfaced between the step-2 peek and this
-        // registration — impossible inline (the simulator), possible on TCP.
+        // registration — impossible inline, possible with a strand pool.
         SetVote(s, Vote::kAbort);
         counters_.Inc("abort_dep_aborted");
         return;
@@ -501,8 +452,7 @@ void BasilReplica::Step7Register(const TxnDigest& digest, size_t i) {
 
 void BasilReplica::FinishStep7(TxnState& s) {
   // Consume decisions that landed while the registration hops were in flight
-  // (recorded by ResolveDepDecision; always empty on the simulator, where the hops
-  // run inline).
+  // (recorded by ResolveDepDecision; always empty when the hops run inline).
   for (const auto& [dep, dec] : s.dep_outcomes) {
     if (dec == Decision::kAbort) {
       SetVote(s, Vote::kAbort);
@@ -793,7 +743,7 @@ void BasilReplica::FlushBatch() {
   // Sealing builds the Merkle tree and signs its root — pure CPU over the collected
   // digests. Batches rotate across strands (each batch is internally ordered; batch
   // order against other batches is not), the certified sends run back in the
-  // handler context.
+  // handler context. Without a strand pool both run inline, right here.
   auto certs = std::make_shared<std::vector<BatchCert>>();
   auto seal = [this, digests = std::move(digests), certs](CostMeter& m) {
     const uint64_t t0 = now();
@@ -809,11 +759,6 @@ void BasilReplica::FlushBatch() {
     }
     counters_.Inc("batches_flushed");
   };
-  if (!cfg_->parallel_pipeline) {
-    seal(meter());
-    send_all();
-    return;
-  }
   Post(seq, std::move(seal), std::move(send_all));
 }
 
@@ -847,11 +792,10 @@ void BasilReplica::St2OnOwner(NodeId src, const std::shared_ptr<const St2Msg>& m
     return;
   }
   // The justification validates quorums of signed prepare votes — the heaviest
-  // verification a replica does. It runs on the crypto pool (TCP) or inline (sim);
-  // the continuation re-checks the guards, because the state may have advanced while
-  // the signatures were being checked. In partitioned mode the verdict returns to
-  // this transaction's owning strand, not the loop.
-  VerifyOnHome(
+  // verification a replica does. It runs on the crypto pool, or inline without one;
+  // the verdict returns to this transaction's owning strand, and the continuation
+  // re-checks the guards, because the state may have advanced meanwhile.
+  Verify1On(
       PartOfDigest(msg->txn),
       [this, msg](CostMeter& m) {
         const uint64_t t0 = now();
@@ -907,7 +851,7 @@ void BasilReplica::WritebackOnOwner(const std::shared_ptr<const WritebackMsg>& m
   // C-CERT/A-CERT validation verifies a quorum of signed votes or acks: crypto-pool
   // work. The body pointer is pinned here; the continuation re-fetches the state
   // (another writeback may have decided the transaction while this one verified).
-  VerifyOnHome(
+  Verify1On(
       PartOfDigest(msg->cert->txn),
       [this, msg, body = s.txn](CostMeter& m) {
         const uint64_t t0 = now();

@@ -95,22 +95,6 @@ struct BasilConfig {
   // death (kernel page cache) but not OS crashes, the pre-group-commit behaviour.
   uint32_t wal_fsync_every = 0;
 
-  // Parallel execution pipeline (docs/TRANSPORT.md): route heavy per-transaction
-  // work through Runtime::Post (strand = txn digest) and signature checks through
-  // Runtime::OffloadVerify. On the simulator both run inline, so results are
-  // bit-identical either way (tests/test_strands.cc pins this); on the TCP backend
-  // `false` keeps everything on the event-loop thread for A/B comparison.
-  bool parallel_pipeline = true;
-
-  // Partitioned execution state (docs/TRANSPORT.md "Partitioned state"): shard the
-  // replica's TxnState map (by txn digest) and route handlers end-to-end onto the
-  // owning strand, so state mutation no longer serializes on the event-loop thread.
-  // 0 = off: handlers mutate state in loop/handler context exactly as before. The
-  // sim runs Post inline, so results are bit-identical with any partition count
-  // (tests/test_strands.cc pins this); requires parallel_pipeline on the TCP
-  // backend to actually spread work across strand workers.
-  uint32_t exec_partitions = 0;
-
   uint32_t n() const { return 5 * f + 1; }
   uint32_t commit_quorum() const { return 3 * f + 1; }       // CQ = (n+f+1)/2.
   uint32_t abort_quorum() const { return f + 1; }            // AQ.
@@ -132,12 +116,6 @@ struct TapirConfig {
   uint32_t f = 1;
   uint32_t num_shards = 1;
   uint64_t prepare_timeout_ns = 8'000'000;
-  // Same toggle as BasilConfig::parallel_pipeline: prepare bodies are digest-checked
-  // on a strand keyed by txn digest before the OCC check runs in handler context.
-  bool parallel_pipeline = true;
-  // Same semantics as BasilConfig::exec_partitions: 0 = loop-owned TxnState map,
-  // N = N digest-sharded partitions each owned by its strand.
-  uint32_t exec_partitions = 0;
 
   uint32_t n() const { return 2 * f + 1; }
   // IR fast quorum ceil(3f/2)+1; slow path needs a simple majority f+1.

@@ -194,6 +194,19 @@ bool BenchJson::WriteFile(const std::string& path) const {
   return ok;
 }
 
+void FillFromMergedMetrics(const obs::MetricsRegistry& merged, RunResult* r) {
+  if (const obs::Histogram* h = merged.histogram(merged.Find("span.client_commit_ns"));
+      h != nullptr && h->Count() > 0) {
+    r->mean_ms = h->Mean() / 1e6;
+    r->p50_ms = h->Quantile(0.5) / 1e6;
+    r->p99_ms = h->Quantile(0.99) / 1e6;
+  }
+  r->wire_bytes = merged.CounterValue(merged.Find("rt.net.bytes_sent"));
+  r->wire_bytes_per_txn = r->committed > 0 ? static_cast<double>(r->wire_bytes) /
+                                                 static_cast<double>(r->committed)
+                                           : 0;
+}
+
 std::string Summarize(const RunResult& r) {
   char buf[320];
   std::snprintf(buf, sizeof(buf),

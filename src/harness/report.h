@@ -38,6 +38,13 @@ std::string FmtKb(double bytes);  // "1.4KB".
 // per committed transaction).
 std::string Summarize(const RunResult& r);
 
+// Fills a real-socket row's latency and wire fields from a registry merged across
+// the deployment's runtimes or snapshots: mean/p50/p99 from the client commit span
+// histogram (exact merged buckets, never averaged percentiles), wire_bytes from the
+// transport's rt.net.bytes_sent counters, and wire_bytes_per_txn over
+// `r->committed`, which the caller sets first. Fields without data stay 0.
+void FillFromMergedMetrics(const obs::MetricsRegistry& merged, RunResult* r);
+
 // Accumulates one benchmark's results into a BENCH_*.json artifact
 // ("basil-bench-v1"): run parameters, per-row throughput/latency numbers, and
 // per-stage latency distributions folded in from runtime metrics registries.

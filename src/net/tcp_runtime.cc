@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <utility>
 
 #include "src/runtime/frame.h"
 
@@ -129,6 +131,18 @@ TcpRuntime::TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers)
   const obs::MetricId crypto_wait = metrics_.RegisterHistogram("rt.crypto.queue_wait_ns");
   const obs::MetricId crypto_depth = metrics_.RegisterGauge("rt.crypto.queue_depth");
   loop_residency_hist_ = metrics_.RegisterHistogram("rt.loop.residency_pct");
+  for (const auto& [name, source] :
+       std::initializer_list<std::pair<const char*, const std::atomic<uint64_t>*>>{
+           {"rt.net.msgs_sent", &messages_sent_},
+           {"rt.net.msgs_received", &messages_received_},
+           {"rt.net.bytes_sent", &bytes_sent_},
+           {"rt.net.bytes_received", &bytes_received_},
+           {"rt.net.decode_failures", &decode_failures_},
+           {"rt.strand.posted_tasks", &posted_tasks_},
+           {"rt.crypto.inline_checks", &inline_checks_},
+           {"rt.crypto.offloaded_checks", &offloaded_checks_}}) {
+    published_counts_.push_back(PublishedCount{metrics_.RegisterCounter(name), source});
+  }
   for (uint32_t i = 0; i < workers; ++i) {
     strand_workers_.push_back(std::make_unique<PoolWorker>());
     strand_workers_.back()->wait_hist = strand_wait;
@@ -145,7 +159,7 @@ TcpRuntime::TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers)
 
 TcpRuntime::~TcpRuntime() { Stop(); }
 
-void TcpRuntime::PublishAllocMetrics() {
+void TcpRuntime::PublishMetrics() {
   // Pull model: the pool never holds a registry pointer (frame deleters can run
   // after teardown started), so snapshots copy its counters into gauges here.
   const BufferPool::Stats s = pool_.stats();
@@ -154,6 +168,15 @@ void TcpRuntime::PublishAllocMetrics() {
   metrics_.Set(alloc_recycled_gauge_, s.recycled);
   metrics_.Set(alloc_recycled_bytes_gauge_, s.recycled_bytes);
   metrics_.Set(alloc_outstanding_hw_gauge_, s.outstanding_high_water);
+  // The transport's own atomics stay the source of truth (a metrics kill switch
+  // must not zero them); their registry counters are raised to match.
+  for (const PublishedCount& c : published_counts_) {
+    const uint64_t total = c.source->load();
+    const uint64_t shown = metrics_.CounterValue(c.id);
+    if (total > shown) {
+      metrics_.Inc(c.id, total - shown);
+    }
+  }
 }
 
 uint64_t TcpRuntime::now() const { return MonotonicNowNs(); }
@@ -356,7 +379,7 @@ void TcpRuntime::Execute(std::function<void()> work) {
 }
 
 // ---------------------------------------------------------------------------
-// Strand workers + crypto offload pool (the parallel execution pipeline).
+// Strand workers + crypto offload pool (docs/TRANSPORT.md "Strand execution").
 // ---------------------------------------------------------------------------
 
 void TcpRuntime::EnqueuePool(PoolWorker* worker,
@@ -407,14 +430,8 @@ void TcpRuntime::PoolMain(PoolWorker* worker) {
 void TcpRuntime::Post(StrandKey strand, StrandFn work, std::function<void()> then) {
   posted_tasks_.fetch_add(1);
   if (strand_workers_.empty()) {
-    // No pool: keep the contract (work, then continuation, in the handler context)
-    // on the event loop — the pre-parallel placement.
-    Execute([this, work = std::move(work), then = std::move(then)]() {
-      work(meter_);
-      if (then) {
-        then();
-      }
-    });
+    // No pool: the handler context is the only strand (Runtime's inline default).
+    Runtime::Post(strand, std::move(work), std::move(then));
     return;
   }
   PoolWorker* worker = strand_workers_[strand % strand_workers_.size()].get();
@@ -430,15 +447,8 @@ void TcpRuntime::Post(StrandKey strand, StrandFn work, std::function<void()> the
 void TcpRuntime::OffloadVerify(std::vector<VerifyFn> batch,
                                std::function<void(std::vector<uint8_t>)> done) {
   if (crypto_workers_.empty()) {
-    // No pool: verify inline on the caller (the event-loop thread), synchronously —
-    // exactly the pre-parallel behaviour.
     inline_checks_.fetch_add(batch.size());
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(meter_) ? 1 : 0);
-    }
-    done(std::move(verdicts));
+    Runtime::OffloadVerify(std::move(batch), std::move(done));
     return;
   }
   offloaded_checks_.fetch_add(batch.size());
@@ -459,16 +469,9 @@ void TcpRuntime::OffloadVerify(std::vector<VerifyFn> batch,
 
 void TcpRuntime::OffloadVerifyTo(StrandKey home, std::vector<VerifyFn> batch,
                                  std::function<void(std::vector<uint8_t>)> done) {
-  if (crypto_workers_.empty() || strand_workers_.empty()) {
-    // No pools: the caller context is the only context. Verify inline so the
-    // continuation runs exactly where the handler already is.
-    inline_checks_.fetch_add(batch.size());
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(meter()) ? 1 : 0);
-    }
-    done(std::move(verdicts));
+  if (crypto_workers_.empty()) {
+    // No pools: inline through OffloadVerify, which counts the checks.
+    Runtime::OffloadVerifyTo(home, std::move(batch), std::move(done));
     return;
   }
   offloaded_checks_.fetch_add(batch.size());
@@ -482,7 +485,7 @@ void TcpRuntime::OffloadVerifyTo(StrandKey home, std::vector<VerifyFn> batch,
       verdicts.push_back(check(m) ? 1 : 0);
     }
     // Home-return: the verdict continuation goes back to the owning strand, not
-    // the event loop — the partitioned-state contract (docs/TRANSPORT.md).
+    // the event loop (docs/TRANSPORT.md "Strand execution").
     Post(home, [done = std::move(done),
                 verdicts = std::move(verdicts)](CostMeter&) mutable {
       done(std::move(verdicts));
@@ -840,6 +843,7 @@ void TcpRuntime::ReaderMain(size_t slot, int fd) {
     if (n <= 0) {
       break;  // Peer closed (mid-frame tails are discarded with the reassembler).
     }
+    bytes_received_.fetch_add(static_cast<uint64_t>(n));
     if (!reassembler.Feed(buf, static_cast<size_t>(n))) {
       decode_failures_.fetch_add(1);  // Oversized length field: drop the connection.
       break;

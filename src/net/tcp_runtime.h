@@ -3,17 +3,18 @@
 // canonical message frames of docs/WIRE_FORMAT.md (stream rules in docs/TRANSPORT.md).
 //
 // Threading model (docs/TRANSPORT.md has the full picture):
-//   - One event-loop thread runs the protocol's *stateful* work: message handlers,
-//     Execute() items, timer callbacks, and every Post/OffloadVerify continuation.
-//     Protocol state therefore needs no locking, exactly as on the simulator backend.
+//   - One event-loop thread runs message handlers, Execute() items, timer
+//     callbacks, and every Post/OffloadVerify continuation.
 //   - N strand workers (the `workers` constructor argument) run Post() work items:
 //     strand key -> worker by modulo, so tasks on one strand are FIFO-serialized on
-//     one thread while distinct strands use distinct cores. With workers == 0 the
-//     pool is absent and Post work runs on the event loop (the pre-parallel model).
+//     one thread while distinct strands use distinct cores. strands() reports N, and
+//     a replica shards its execution state into N partitions, one per worker.
 //   - A dedicated crypto pool (same size as the worker pool) runs OffloadVerify
 //     batches, so Ed25519/HMAC signature verification never blocks the event loop;
-//     verdicts are marshalled back to the loop via Execute. With no pool, checks run
-//     inline on the caller.
+//     verdicts return to the loop via Execute (OffloadVerifyTo: to the home strand).
+//   - With workers == 0 there are no pools and the runtime keeps the base Runtime
+//     semantics: Post, OffloadVerify, and OffloadVerifyTo run inline in the
+//     caller's handler context, as on the simulator, and strands() is 1.
 //   - One acceptor thread owns the listening socket. Each accepted connection gets a
 //     reader thread that reassembles frames (partial reads included) and posts decoded
 //     messages to the event loop.
@@ -28,6 +29,7 @@
 #ifndef BASIL_SRC_NET_TCP_RUNTIME_H_
 #define BASIL_SRC_NET_TCP_RUNTIME_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -70,8 +72,8 @@ class TcpRuntime : public Runtime {
  public:
   // `peers` is the full node table indexed by NodeId; peers[id] is this node's own
   // listen address. `workers` sizes both the strand worker pool and the crypto
-  // offload pool (0 = no pools: all work on the event loop, the pre-parallel
-  // behaviour). Call Start() to begin accepting and delivering.
+  // offload pool (0 = no pools: strand and crypto work run inline in the handler
+  // context). Call Start() to begin accepting and delivering.
   TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers = 0);
   ~TcpRuntime() override;
 
@@ -98,6 +100,8 @@ class TcpRuntime : public Runtime {
   // never race the loop's meter.
   CostMeter& meter() override;
   void Bind(MsgHandler* handler) override { handler_ = handler; }
+
+  uint32_t strands() const override { return std::max<uint32_t>(1, workers()); }
 
   uint32_t workers() const { return static_cast<uint32_t>(strand_workers_.size()); }
 
@@ -126,10 +130,11 @@ class TcpRuntime : public Runtime {
   uint64_t messages_sent() const { return messages_sent_.load(); }
   uint64_t messages_received() const { return messages_received_.load(); }
   uint64_t bytes_sent() const { return bytes_sent_.load(); }
+  uint64_t bytes_received() const { return bytes_received_.load(); }
   uint64_t decode_failures() const { return decode_failures_.load(); }
   uint64_t reconnects() const { return reconnects_.load(); }
-  // Parallel-pipeline accounting: how the heavy work was placed. The throughput
-  // bench uses these to prove signature verification left the event-loop thread.
+  // Placement accounting: how the heavy work was placed. The throughput bench uses
+  // these to prove signature verification left the event-loop thread.
   uint64_t posted_tasks() const { return posted_tasks_.load(); }
   uint64_t offloaded_checks() const { return offloaded_checks_.load(); }
   uint64_t inline_checks() const { return inline_checks_.load(); }
@@ -141,10 +146,13 @@ class TcpRuntime : public Runtime {
   // all rent from here. Exposed for benches that want hit-rate numbers.
   const BufferPool& pool() const { return pool_; }
 
-  // Copies the pool's live counters into the rt.alloc.* gauges. The pool itself
-  // never touches the registry (frame deleters may run after it is gone), so
-  // snapshots call this just before reading metrics().
-  void PublishAllocMetrics();
+  // Pull path for counts kept outside the registry, called just before reading
+  // metrics() for a snapshot (from one thread at a time): copies the pool's live
+  // counters into the rt.alloc.* gauges (the pool never touches the registry —
+  // frame deleters may run after it is gone), and raises the rt.net.*,
+  // rt.strand.posted_tasks and rt.crypto.*_checks counters to the transport's
+  // atomics above (docs/OBSERVABILITY.md).
+  void PublishMetrics();
 
  protected:
   void DoSend(NodeId dst, MsgPtr msg) override;
@@ -265,6 +273,7 @@ class TcpRuntime : public Runtime {
   std::atomic<uint64_t> messages_sent_{0};
   std::atomic<uint64_t> messages_received_{0};
   std::atomic<uint64_t> bytes_sent_{0};
+  std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> decode_failures_{0};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> posted_tasks_{0};
@@ -286,13 +295,19 @@ class TcpRuntime : public Runtime {
   obs::MetricId writer_frames_gauge_ = obs::kInvalidMetric;
   obs::MetricId writer_bytes_gauge_ = obs::kInvalidMetric;
   // Backpressure drops (counter, Inc'd at the shed site) and pool counters
-  // (gauges, filled by PublishAllocMetrics from BufferPool::stats()).
+  // (gauges, filled by PublishMetrics from BufferPool::stats()).
   obs::MetricId writer_dropped_counter_ = obs::kInvalidMetric;
   obs::MetricId alloc_hits_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_misses_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_recycled_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_recycled_bytes_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_outstanding_hw_gauge_ = obs::kInvalidMetric;
+  // Registry counters mirroring the transport atomics, raised by PublishMetrics.
+  struct PublishedCount {
+    obs::MetricId id;
+    const std::atomic<uint64_t>* source;
+  };
+  std::vector<PublishedCount> published_counts_;
   // Self-sampled busy fraction of the event loop (percent, ~1 s windows): with
   // partitioned state the loop should be mostly demux + send, so this histogram is
   // the "loop went idle" proof (docs/OBSERVABILITY.md).

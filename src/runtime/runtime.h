@@ -32,9 +32,10 @@ using EventId = uint64_t;
 // Key selecting a serialization strand for Runtime::Post. Tasks posted under the same
 // key are serialized in FIFO order; tasks under different keys may run concurrently
 // (on the TCP backend's worker pool), so strand work must only touch state that is
-// private to the strand — in practice: pure CPU work (hashing, signature checks,
-// batch sealing) over immutable inputs. Conventions (docs/TRANSPORT.md): transaction
-// execution work is keyed by txn digest, connection-scoped work by peer id.
+// private to the strand — pure CPU work over immutable inputs (hashing, batch
+// sealing), or the execution-state partition the strand owns. Conventions
+// (docs/TRANSPORT.md): a replica keys partition work by partition index, other work
+// by txn digest or peer id.
 using StrandKey = uint64_t;
 
 inline StrandKey StrandOfDigest(const TxnDigest& digest) {
@@ -99,19 +100,26 @@ class Runtime {
   // batch flushes — anything that may touch protocol state or send messages).
   virtual void Execute(std::function<void()> work) = 0;
 
-  // ---- Strand-sharded execution (the parallel pipeline, docs/TRANSPORT.md) ----
+  // ---- Strand-sharded execution (docs/TRANSPORT.md "Strand execution") ----
   //
+  // strands: how many strands run Post work concurrently. Protocol actors shard
+  // their execution state this many ways (one partition per strand). 1 when the
+  // backend has no strand pool — the simulator, a TcpRuntime built with 0 workers —
+  // where every strand is the handler context itself.
+  virtual uint32_t strands() const { return 1; }
+
   // Post: runs `work` on the strand selected by `strand`, then `then` (optional)
   // back in the handler context. Contract: work posted under the same strand key is
-  // serialized in FIFO order; different keys may run concurrently, so `work` must be
-  // pure CPU over inputs it owns or that are immutable. `then` may touch protocol
-  // state — it runs where handlers run.
+  // serialized in FIFO order; different keys may run concurrently, so `work` must
+  // only touch state its strand owns or that is immutable. `then` may touch
+  // protocol state — it runs where handlers run.
   //
-  // The default implementation is the simulator's: both closures run inline,
-  // synchronously, charging the node meter. Parallelism there is already modeled by
-  // the k-worker CPU queue dispatching concurrent *messages* (sim::Node), so inline
-  // execution keeps simulated results bit-identical to pre-strand code while the
-  // same protocol source exploits real cores on TcpRuntime.
+  // The default implementation serves every backend without a strand pool: both
+  // closures run inline, synchronously, before Post returns, charging the node
+  // meter. On the simulator, parallelism is already modeled by the k-worker CPU
+  // queue dispatching concurrent *messages* (sim::Node), so inline execution keeps
+  // simulated results deterministic while the same protocol source spreads over
+  // real cores on a pooled TcpRuntime.
   virtual void Post(StrandKey strand, StrandFn work, std::function<void()> then = {}) {
     (void)strand;  // One handler context: every strand is trivially serialized.
     work(meter());
@@ -123,8 +131,7 @@ class Runtime {
   // OffloadVerify: runs a batch of signature checks off the handler thread (the
   // TCP backend's dedicated crypto pool), then `done` with one verdict per check,
   // back in the handler context. Same default as Post: inline and synchronous, so
-  // the simulator charges verification to the current work item exactly as the old
-  // inline call sites did.
+  // a backend without a pool charges verification to the current work item.
   virtual void OffloadVerify(std::vector<VerifyFn> batch,
                              std::function<void(std::vector<uint8_t>)> done) {
     std::vector<uint8_t> verdicts;
@@ -136,11 +143,10 @@ class Runtime {
   }
 
   // OffloadVerifyTo: like OffloadVerify, but `done` runs on the strand selected by
-  // `home` instead of the handler context. This is the partitioned-state variant
-  // (docs/TRANSPORT.md "Partitioned state"): a handler running on its owning strand
+  // `home` instead of the handler context: a handler running on its owning strand
   // offloads a signature check and continues on the same strand when the verdict
-  // lands, never touching the loop thread. Default: inline and synchronous (the
-  // simulator and the single-threaded TCP fallback), identical to OffloadVerify.
+  // lands, never touching the loop thread. Default (no pools): inline and
+  // synchronous, identical to OffloadVerify — the caller already is on `home`.
   virtual void OffloadVerifyTo(StrandKey home, std::vector<VerifyFn> batch,
                                std::function<void(std::vector<uint8_t>)> done) {
     (void)home;  // One handler context: the home strand is where we already are.
@@ -221,17 +227,6 @@ class Process : public MsgHandler {
                          [then = std::move(then)](std::vector<uint8_t> verdicts) {
                            then(!verdicts.empty() && verdicts[0] != 0);
                          });
-  }
-  // Runs one heavy signature check through the runtime's crypto offload, then
-  // `then` with the verdict back in the handler context. `parallel` is the
-  // protocol's parallel_pipeline knob: false verifies inline, synchronously (the
-  // pre-pipeline placement, and the A/B arm of tests/test_strands.cc).
-  void VerifyThen(bool parallel, VerifyFn check, std::function<void(bool)> then) {
-    if (!parallel) {
-      then(check(rt_->meter()));
-      return;
-    }
-    rt_->Verify1(std::move(check), std::move(then));
   }
   EventId SetTimer(uint64_t delay_ns, std::function<void()> cb) {
     return rt_->SetTimer(delay_ns, std::move(cb));

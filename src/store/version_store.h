@@ -7,10 +7,10 @@
 //     transactions read which version of the key).
 // Pure data structure: no protocol logic, no waiting; the replica layers those on top.
 //
-// Partitioned for the parallel execution pipeline (docs/TRANSPORT.md "Partitioned
-// state"): keys are hashed into `partitions()` shards, each guarded by its own
-// mutex. Every per-key operation locks exactly one partition (leaf lock: nothing is
-// acquired while holding it), so strand workers owning different key partitions
+// Partitioned for strand execution (docs/TRANSPORT.md "Strand execution"): keys are
+// hashed into `partitions()` shards, each guarded by its own mutex. Every per-key
+// operation locks exactly one partition (leaf lock: nothing is acquired while
+// holding it), so strand workers owning different key partitions
 // mutate the store concurrently. Cross-partition views (Snapshot, CommittedChains,
 // committed_key_count) lock partitions one at a time and merge deterministically —
 // the WAL snapshot payload is byte-identical for any partition count.

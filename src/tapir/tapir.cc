@@ -124,52 +124,38 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TapirReplica::TapirReplica(Runtime* rt, const TapirConfig* cfg, const Topology* topo)
-    : Process(rt), cfg_(cfg), topo_(topo), tracer_(&rt->metrics()) {
-  const uint32_t n_parts = std::max<uint32_t>(1, cfg->exec_partitions);
-  parts_.resize(n_parts);
-  store_.SetPartitions(n_parts);  // Key partitions line up with execution strands.
-}
+    : Process(rt), cfg_(cfg), topo_(topo), tracer_(&rt->metrics()) {}
 
 void TapirReplica::Handle(const MsgEnvelope& env) {
   switch (env.msg->kind) {
     case kTapirRead:
-      OnRead(env.src, std::static_pointer_cast<const TapirReadMsg>(env.msg));
+      OnRead(env.src, static_cast<const TapirReadMsg&>(*env.msg));
       break;
     case kTapirPrepare:
-      OnPrepare(env.src, std::static_pointer_cast<const TapirPrepareMsg>(env.msg));
+      OnPrepare(env.src, static_cast<const TapirPrepareMsg&>(*env.msg));
       break;
     case kTapirFinalize:
-      OnFinalize(env.src, std::static_pointer_cast<const TapirFinalizeMsg>(env.msg));
+      OnFinalize(env.src, static_cast<const TapirFinalizeMsg&>(*env.msg));
       break;
     case kTapirDecide:
-      OnDecide(std::static_pointer_cast<const TapirDecideMsg>(env.msg));
+      OnDecide(static_cast<const TapirDecideMsg&>(*env.msg));
       break;
     default:
       break;
   }
 }
 
-void TapirReplica::RunOnPart(size_t part, std::function<void()> fn) {
-  if (!partitioned()) {
-    fn();
-    return;
+void TapirReplica::OnRead(NodeId src, const TapirReadMsg& msg) {
+  auto reply = std::make_shared<TapirReadReplyMsg>();
+  reply->req_id = msg.req_id;
+  if (std::optional<CommittedVersion> v = store_.CommittedBefore(msg.key, msg.ts);
+      v.has_value()) {
+    reply->found = true;
+    reply->version = v->ts;
+    reply->value = std::move(v->value);
   }
-  Post(static_cast<StrandKey>(part), [fn = std::move(fn)](CostMeter&) { fn(); });
-}
-
-void TapirReplica::OnRead(NodeId src, std::shared_ptr<const TapirReadMsg> msg) {
-  RunOnPart(store_.PartitionOf(msg->key), [this, src, msg]() {
-    auto reply = std::make_shared<TapirReadReplyMsg>();
-    reply->req_id = msg->req_id;
-    if (std::optional<CommittedVersion> v = store_.CommittedBefore(msg->key, msg->ts);
-        v.has_value()) {
-      reply->found = true;
-      reply->version = v->ts;
-      reply->value = std::move(v->value);
-    }
-    Send(src, std::move(reply));
-    counters_.Inc("reads_served");
-  });
+  Send(src, std::move(reply));
+  counters_.Inc("reads_served");
 }
 
 Vote TapirReplica::OccCheck(const Transaction& txn) {
@@ -202,73 +188,35 @@ static bool PrepareBodyDigestOk(const TapirPrepareMsg& msg) {
   return msg.txn->ComputeDigest() == msg.txn->id;
 }
 
-void TapirReplica::OnPrepare(NodeId src, std::shared_ptr<const TapirPrepareMsg> msg) {
-  if (msg->txn == nullptr) {
+void TapirReplica::OnPrepare(NodeId src, const TapirPrepareMsg& msg) {
+  if (msg.txn == nullptr) {
     return;
   }
-  if (partitioned()) {
-    // Hash check and the full intake run on the owning strand — one hop, end-to-end.
-    RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
-      const uint64_t t0 = now();
-      if (!PrepareBodyDigestOk(*msg)) {
-        counters_.Inc("prepare_bad_digest");
-        return;
-      }
-      tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      PrepareArrived(src, msg);
-    });
+  // The span is 0 on the simulator (virtual time does not advance inside a work
+  // item).
+  const uint64_t t0 = now();
+  if (!PrepareBodyDigestOk(msg)) {
+    counters_.Inc("prepare_bad_digest");
     return;
   }
-  if (!cfg_->parallel_pipeline) {
-    const uint64_t t0 = now();
-    if (!PrepareBodyDigestOk(*msg)) {
-      counters_.Inc("prepare_bad_digest");
-      return;
-    }
-    tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-    PrepareArrived(src, msg);
-    return;
-  }
-  // Hash the body on the transaction's strand; the OCC check and every store
-  // mutation continue in the handler context (inline and in unchanged order on the
-  // simulator, off the event loop on the TCP backend).
-  auto body_ok = std::make_shared<bool>(false);
-  Post(
-      StrandOfDigest(msg->txn->id),
-      [this, msg, body_ok](CostMeter&) {
-        // Duration is 0 on the simulator (virtual time does not advance inside a
-        // work item); now() is thread-safe on both backends.
-        const uint64_t t0 = now();
-        *body_ok = PrepareBodyDigestOk(*msg);
-        tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      },
-      [this, src, msg, body_ok]() {
-        if (!*body_ok) {
-          counters_.Inc("prepare_bad_digest");
-          return;
-        }
-        PrepareArrived(src, msg);
-      });
-}
-
-void TapirReplica::PrepareArrived(NodeId src,
-                                  const std::shared_ptr<const TapirPrepareMsg>& msg) {
-  TxnState& s = GetState(msg->txn->id);
+  tracer_.Record(obs::Stage::kSt1DigestCheck, msg.txn->id, now() - t0);
+  const Transaction& txn = *msg.txn;
+  TxnState& s = txns_[txn.id];
   if (s.txn == nullptr) {
-    s.txn = msg->txn;
+    s.txn = msg.txn;
   }
   if (!s.vote.has_value()) {
-    const Vote v = OccCheck(*msg->txn);
+    const Vote v = OccCheck(txn);
     s.vote = v;
     if (v == Vote::kCommit) {
-      for (const WriteEntry& w : msg->txn->write_set) {
+      for (const WriteEntry& w : txn.write_set) {
         if (OwnsKey(w.key)) {
-          store_.AddPreparedWrite(w.key, msg->txn->ts, w.value, msg->txn->id);
+          store_.AddPreparedWrite(w.key, txn.ts, w.value, txn.id);
         }
       }
-      for (const ReadEntry& r : msg->txn->read_set) {
+      for (const ReadEntry& r : txn.read_set) {
         if (OwnsKey(r.key)) {
-          store_.AddReader(r.key, msg->txn->ts, r.version);
+          store_.AddReader(r.key, txn.ts, r.version);
         }
       }
       s.prepared = true;
@@ -276,29 +224,22 @@ void TapirReplica::PrepareArrived(NodeId src,
     counters_.Inc(v == Vote::kCommit ? "votes_commit" : "votes_abort");
   }
   auto reply = std::make_shared<TapirPrepareReplyMsg>();
-  reply->txn = msg->txn->id;
+  reply->txn = txn.id;
   reply->replica = id();
   reply->vote = *s.vote;
   Send(src, std::move(reply));
 }
 
-void TapirReplica::OnFinalize(NodeId src, std::shared_ptr<const TapirFinalizeMsg> msg) {
-  RunOnPart(PartOfDigest(msg->txn), [this, src, msg]() {
-    TxnState& s = GetState(msg->txn);
-    s.finalized = msg->result;
-    auto ack = std::make_shared<TapirFinalizeAckMsg>();
-    ack->txn = msg->txn;
-    ack->replica = id();
-    Send(src, std::move(ack));
-  });
+void TapirReplica::OnFinalize(NodeId src, const TapirFinalizeMsg& msg) {
+  txns_[msg.txn].finalized = msg.result;
+  auto ack = std::make_shared<TapirFinalizeAckMsg>();
+  ack->txn = msg.txn;
+  ack->replica = id();
+  Send(src, std::move(ack));
 }
 
-void TapirReplica::OnDecide(std::shared_ptr<const TapirDecideMsg> msg) {
-  RunOnPart(PartOfDigest(msg->txn), [this, msg]() { DecideOnOwner(*msg); });
-}
-
-void TapirReplica::DecideOnOwner(const TapirDecideMsg& msg) {
-  TxnState& s = GetState(msg.txn);
+void TapirReplica::OnDecide(const TapirDecideMsg& msg) {
+  TxnState& s = txns_[msg.txn];
   if (s.decided) {
     return;
   }

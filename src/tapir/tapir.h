@@ -114,23 +114,13 @@ class TapirReplica : public Process {
   Counters& counters() { return counters_; }
 
  private:
-  void OnRead(NodeId src, std::shared_ptr<const TapirReadMsg> msg);
-  // Prepare intake is two-stage (docs/TRANSPORT.md): the body's digest is verified
-  // on the strand of the claimed txn digest (pure hashing, parallel across
-  // transactions on the TCP backend), then the OCC check and store mutation run in
-  // the handler context — hence the shared_ptr, which outlives the handler.
-  //
-  // With exec_partitions > 0 (docs/TRANSPORT.md "Partitioned execution state") the
-  // whole handler instead runs on the owning strand: prepares/finalizes/decides on
-  // the strand of the txn digest, reads on the strand of the key's store partition.
-  // Tapir transactions carry no cross-transaction dependencies, so unlike Basil no
-  // handler ever hops between partitions. The simulator runs Post inline, so
-  // partitioning cannot change sim results.
-  void OnPrepare(NodeId src, std::shared_ptr<const TapirPrepareMsg> msg);
-  void PrepareArrived(NodeId src, const std::shared_ptr<const TapirPrepareMsg>& msg);
-  void OnFinalize(NodeId src, std::shared_ptr<const TapirFinalizeMsg> msg);
-  void OnDecide(std::shared_ptr<const TapirDecideMsg> msg);
-  void DecideOnOwner(const TapirDecideMsg& msg);
+  // Handlers run directly in the handler context: TAPIR replicas run only on the
+  // simulator, where strand work would be inline anyway.
+  void OnRead(NodeId src, const TapirReadMsg& msg);
+  // Verifies the body digest, then runs the OCC check and prepares.
+  void OnPrepare(NodeId src, const TapirPrepareMsg& msg);
+  void OnFinalize(NodeId src, const TapirFinalizeMsg& msg);
+  void OnDecide(const TapirDecideMsg& msg);
 
   // TAPIR's OCC-TSO validation (their Algorithm 1, reduced to commit/abort votes).
   Vote OccCheck(const Transaction& txn);
@@ -145,28 +135,13 @@ class TapirReplica : public Process {
     std::optional<Vote> finalized;
     bool decided = false;
   };
-  // One shard of transaction state, owned by the strand of the same index. Only
-  // that strand (or the handler context when partitioning is off) touches it.
-  struct Part {
-    std::unordered_map<TxnDigest, TxnState, TxnDigestHash> txns;
-  };
-
-  bool partitioned() const { return cfg_->exec_partitions > 0; }
-  size_t PartOfDigest(const TxnDigest& digest) const {
-    return static_cast<size_t>(StrandOfDigest(digest) % parts_.size());
-  }
-  // Runs `fn` inline when partitioning is off, else on the strand owning `part`.
-  void RunOnPart(size_t part, std::function<void()> fn);
-  TxnState& GetState(const TxnDigest& digest) {
-    return parts_[PartOfDigest(digest)].txns[digest];
-  }
 
   const TapirConfig* cfg_;
   const Topology* topo_;
   VersionStore store_;
   Counters counters_;
   obs::TxnTracer tracer_;  // Per-stage latency spans, into runtime().metrics().
-  std::vector<Part> parts_;
+  std::unordered_map<TxnDigest, TxnState, TxnDigestHash> txns_;
 };
 
 class TapirClient : public Process, public SystemClient, public TxnSession {

@@ -1,8 +1,8 @@
-// The strand/offload contract on the simulator backend (src/runtime/runtime.h):
-// Post and OffloadVerify run inline and synchronously, so enabling the parallel
-// pipeline must not change a single simulated outcome. These tests pin that — the
-// tier-1 substrate stays deterministic and bit-identical with strands on — plus the
-// base-class execution semantics the contract rests on.
+// The strand/offload contract (src/runtime/runtime.h). On the simulator backend Post
+// and OffloadVerify run inline and synchronously, so simulated runs are
+// deterministic, and passive layers (metrics, buffer pooling) must not change a
+// single outcome. These tests pin that, plus the base-class execution semantics the
+// contract rests on and the partition-ownership rules on the TCP backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,31 +44,13 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.replicas.values(), b.replicas.values());
 }
 
-TEST(Strands, PipelineDoesNotChangeBasilResults) {
-  ExperimentParams params;
-  params.system = SystemKind::kBasil;
-  params.clients = 8;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 400'000'000;
-  params.seed = 7;
-
-  params.basil.parallel_pipeline = true;
-  const RunResult with_strands = RunExperiment(params);
-  params.basil.parallel_pipeline = false;
-  const RunResult inline_exec = RunExperiment(params);
-
-  EXPECT_GT(with_strands.committed, 0u);
-  ExpectBitIdentical(with_strands, inline_exec);
-}
-
-TEST(Strands, PipelineIsDeterministicAcrossRuns) {
+TEST(Strands, SimRunsAreDeterministic) {
   ExperimentParams params;
   params.system = SystemKind::kBasil;
   params.clients = 6;
   params.warmup_ns = 100'000'000;
   params.measure_ns = 300'000'000;
   params.seed = 21;
-  params.basil.parallel_pipeline = true;
 
   const RunResult a = RunExperiment(params);
   const RunResult b = RunExperiment(params);
@@ -86,7 +68,6 @@ TEST(Strands, MetricsRecordingDoesNotChangeResults) {
   params.warmup_ns = 100'000'000;
   params.measure_ns = 400'000'000;
   params.seed = 7;
-  params.basil.parallel_pipeline = true;
 
   const RunResult with_metrics = RunExperiment(params);
   obs::SetGlobalEnabled(false);
@@ -108,7 +89,6 @@ TEST(Strands, BufferPoolingDoesNotChangeResults) {
   params.warmup_ns = 100'000'000;
   params.measure_ns = 400'000'000;
   params.seed = 7;
-  params.basil.parallel_pipeline = true;
 
   ASSERT_TRUE(BufferPool::PoolingEnabled());
   const RunResult pooled = RunExperiment(params);
@@ -118,66 +98,6 @@ TEST(Strands, BufferPoolingDoesNotChangeResults) {
 
   EXPECT_GT(pooled.committed, 0u);
   ExpectBitIdentical(pooled, unpooled);
-}
-
-TEST(Strands, PipelineDoesNotChangeTapirResults) {
-  ExperimentParams params;
-  params.system = SystemKind::kTapir;
-  params.clients = 6;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 300'000'000;
-  params.seed = 11;
-
-  params.tapir.parallel_pipeline = true;
-  const RunResult with_strands = RunExperiment(params);
-  params.tapir.parallel_pipeline = false;
-  const RunResult inline_exec = RunExperiment(params);
-
-  EXPECT_GT(with_strands.committed, 0u);
-  ExpectBitIdentical(with_strands, inline_exec);
-}
-
-TEST(Strands, PartitionedStateDoesNotChangeBasilResults) {
-  // Partitioned execution state (docs/TRANSPORT.md): sharding the TxnState map and
-  // the version store by strand key reroutes every handler through RunOnPart, which
-  // is inline on the simulator — so any partition count must reproduce the
-  // unpartitioned run counter for counter, with the pipeline on or off.
-  ExperimentParams params;
-  params.system = SystemKind::kBasil;
-  params.clients = 8;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 400'000'000;
-  params.seed = 7;
-  params.basil.parallel_pipeline = true;
-
-  params.basil.exec_partitions = 0;
-  const RunResult unpartitioned = RunExperiment(params);
-  params.basil.exec_partitions = 4;
-  const RunResult partitioned = RunExperiment(params);
-  params.basil.parallel_pipeline = false;
-  const RunResult partitioned_inline = RunExperiment(params);
-
-  EXPECT_GT(unpartitioned.committed, 0u);
-  ExpectBitIdentical(partitioned, unpartitioned);
-  ExpectBitIdentical(partitioned_inline, unpartitioned);
-}
-
-TEST(Strands, PartitionedStateDoesNotChangeTapirResults) {
-  ExperimentParams params;
-  params.system = SystemKind::kTapir;
-  params.clients = 6;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 300'000'000;
-  params.seed = 11;
-  params.tapir.parallel_pipeline = true;
-
-  params.tapir.exec_partitions = 0;
-  const RunResult unpartitioned = RunExperiment(params);
-  params.tapir.exec_partitions = 4;
-  const RunResult partitioned = RunExperiment(params);
-
-  EXPECT_GT(unpartitioned.committed, 0u);
-  ExpectBitIdentical(partitioned, unpartitioned);
 }
 
 TEST(Strands, SimBackendRunsPostInlineAndSynchronously) {

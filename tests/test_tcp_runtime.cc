@@ -10,6 +10,8 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/runtime/runtime.h"
 #include "src/tapir/tapir.h"
@@ -326,37 +328,86 @@ TEST(TcpRuntime, OffloadVerifyLeavesTheLoopAndMarshalsBack) {
   rt->Stop();
 }
 
-TEST(TcpRuntime, ZeroWorkersKeepsEverythingOnTheLoop) {
+TEST(TcpRuntime, NoPoolRunsStrandAndCryptoWorkInline) {
+  // Without pools the runtime keeps the base Runtime semantics, as on the
+  // simulator: a Post or verify issued from the handler context has run its work
+  // and its continuation before it returns — one strand, the handler context.
   auto rt = UpSolo(/*workers=*/0);
   ASSERT_NE(rt, nullptr);
   EXPECT_EQ(rt->workers(), 0u);
+  EXPECT_EQ(rt->strands(), 1u);
 
-  std::atomic<bool> ids_captured{false};
-  std::thread::id loop_id;
+  std::vector<int> order;
+  std::thread::id loop_id, work_id;
+  std::atomic<bool> done{false};
   rt->Execute([&]() {
     loop_id = std::this_thread::get_id();
-    ids_captured.store(true);
+    order.push_back(0);
+    rt->Post(
+        9,
+        [&](CostMeter&) {
+          work_id = std::this_thread::get_id();
+          order.push_back(1);
+        },
+        [&]() { order.push_back(2); });
+    order.push_back(3);
+    rt->OffloadVerify({[](CostMeter&) { return true; }}, [&](std::vector<uint8_t> v) {
+      order.push_back(v == std::vector<uint8_t>{1} ? 4 : -1);
+    });
+    rt->OffloadVerifyTo(/*home=*/9, {[](CostMeter&) { return false; }},
+                        [&](std::vector<uint8_t> v) {
+                          order.push_back(v == std::vector<uint8_t>{0} ? 5 : -1);
+                        });
+    order.push_back(6);
+    done.store(true);
   });
-  ASSERT_TRUE(SpinUntil([&]() { return ids_captured.load(); }));
-
-  std::atomic<bool> done{false};
-  std::thread::id work_id;
-  rt->Post(
-      9, [&](CostMeter&) { work_id = std::this_thread::get_id(); },
-      [&]() { done.store(true); });
   ASSERT_TRUE(SpinUntil([&]() { return done.load(); }));
-  EXPECT_EQ(work_id, loop_id);  // No pool: strand work degrades to the loop.
-
-  std::atomic<bool> verified{false};
-  rt->OffloadVerify({[](CostMeter&) { return true; }},
-                    [&](std::vector<uint8_t> v) {
-                      ASSERT_EQ(v.size(), 1u);
-                      verified.store(v[0] != 0);
-                    });
-  // No pool: OffloadVerify is synchronous on the caller.
-  EXPECT_TRUE(verified.load());
-  EXPECT_EQ(rt->inline_checks(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(work_id, loop_id);
+  EXPECT_EQ(rt->posted_tasks(), 1u);
+  EXPECT_EQ(rt->inline_checks(), 2u);
+  EXPECT_EQ(rt->offloaded_checks(), 0u);
   rt->Stop();
+}
+
+TEST(TcpRuntime, PublishMetricsMirrorsTransportCounters) {
+  // The transport's atomics reach metric snapshots through the PublishMetrics
+  // pull path (docs/OBSERVABILITY.md): after publishing, each registry counter
+  // equals its accessor, and republishing never double-counts.
+  Pair pair;
+  ASSERT_TRUE(pair.Up());
+  EchoServer server(pair.a.get());
+  CountingClient client(pair.b.get());
+  pair.b->Execute([&]() {
+    for (uint64_t i = 0; i < 5; ++i) {
+      auto read = std::make_shared<TapirReadMsg>();
+      read->req_id = i;
+      read->key = "k";
+      client.Send(0, std::move(read));
+    }
+  });
+  ASSERT_TRUE(pair.b->WaitUntil([&]() { return client.replies.load() == 5; },
+                                5'000'000'000ull));
+  pair.b->OffloadVerify({[](CostMeter&) { return true; }}, [](std::vector<uint8_t>) {});
+  for (int round = 0; round < 2; ++round) {
+    for (TcpRuntime* rt : {pair.a.get(), pair.b.get()}) {
+      rt->PublishMetrics();
+      const obs::MetricsRegistry& m = rt->metrics();
+      auto counter = [&](const char* name) { return m.CounterValue(m.Find(name)); };
+      EXPECT_EQ(counter("rt.net.msgs_sent"), rt->messages_sent());
+      EXPECT_EQ(counter("rt.net.msgs_received"), rt->messages_received());
+      EXPECT_EQ(counter("rt.net.bytes_sent"), rt->bytes_sent());
+      EXPECT_EQ(counter("rt.net.bytes_received"), rt->bytes_received());
+      EXPECT_EQ(counter("rt.net.decode_failures"), rt->decode_failures());
+      EXPECT_EQ(counter("rt.strand.posted_tasks"), rt->posted_tasks());
+      EXPECT_EQ(counter("rt.crypto.inline_checks"), rt->inline_checks());
+      EXPECT_EQ(counter("rt.crypto.offloaded_checks"), rt->offloaded_checks());
+    }
+  }
+  EXPECT_EQ(pair.b->messages_sent(), 5u);
+  EXPECT_GT(pair.b->bytes_sent(), 0u);
+  EXPECT_EQ(pair.a->bytes_received(), pair.b->bytes_sent());
+  EXPECT_EQ(pair.b->inline_checks(), 1u);
 }
 
 TEST(TcpRuntime, MonotonicClockAdvances) {

@@ -291,7 +291,6 @@ int Main(int argc, char** argv) {
   }
 
   BasilConfig basil;  // f=1, 1 shard, signatures + batching on (defaults).
-  basil.exec_partitions = opt.workers;
   Topology topo;
   topo.num_shards = 1;
   topo.replicas_per_shard = basil.n();
@@ -441,10 +440,10 @@ int Main(int argc, char** argv) {
   }
   artifact.AddParam("dropped_frames", dropped_frames);
 
-  gw_rt->PublishAllocMetrics();
+  gw_rt->PublishMetrics();
   artifact.AddStages(gw_rt->metrics());
   for (auto& rt : replica_rts) {
-    rt->PublishAllocMetrics();
+    rt->PublishMetrics();
     artifact.AddStages(rt->metrics());
   }
   if (!opt.out.empty()) {

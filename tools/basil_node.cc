@@ -9,6 +9,13 @@
 //   basil_node --config cluster.cfg --id 6 --txns 1000     # client driver: runs
 //                                                          # read-modify-write
 //                                                          # transactions, then exits
+//   basil_node --config cluster.cfg --id 0 --workers 2     # replica on 2 strand
+//                                                          # workers (+2 crypto
+//                                                          # threads): its execution
+//                                                          # state splits into 2
+//                                                          # partitions. Without
+//                                                          # --workers: 1 partition,
+//                                                          # run inline on the loop
 //
 // Every process reads the same config file (src/net/peer_config.h) and derives the
 // same topology and key registry from it, so signatures verify across processes. The
@@ -50,10 +57,9 @@ struct Options {
   std::string config;
   NodeId id = kInvalidNode;
   std::string data_dir;    // Replica role: durable store root (empty = in-memory only).
-  uint32_t workers = 0;    // Strand + crypto pool threads (0 = event loop only).
-  // Replica role: execution-state partitions (docs/TRANSPORT.md). UINT32_MAX =
-  // default to --workers (one partition per strand worker); 0 = loop-owned state.
-  uint32_t partitions = UINT32_MAX;
+  // Strand + crypto pool threads. A replica runs one execution partition per
+  // strand worker; 0 = no pools, one partition run inline on the event loop.
+  uint32_t workers = 0;
   uint64_t txns = 1000;    // Client role: transactions to commit before exiting.
   uint32_t keys = 16;      // Client role: key-space width.
   uint64_t timeout_s = 120;  // Client role: overall deadline.
@@ -113,12 +119,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
         return false;
       }
       opt->workers = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--partitions") {
-      const char* v = next();
-      if (v == nullptr) {
-        return false;
-      }
-      opt->partitions = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) {
@@ -169,7 +169,7 @@ std::string SnapshotPath(const Options& opt, NodeId id) {
 // counters; the registry itself is safe to read from any thread.
 bool WriteSnapshot(TcpRuntime& rt, const std::string& role, const Counters& proto,
                    uint64_t start_ns, const std::string& path) {
-  rt.PublishAllocMetrics();  // Fold live pool counters into the rt.alloc.* gauges.
+  rt.PublishMetrics();  // Fold pool and transport counts into the registry.
   obs::SnapshotMeta meta;
   meta.node = rt.id();
   meta.role = role;
@@ -244,12 +244,9 @@ Task<void> RunDriver(BasilClient* client, const Options* opt, DriverState* state
 int RunReplica(const DeployConfig& cfg, TcpRuntime& rt, const Topology& topo,
                const KeyRegistry& keys, const Options& opt) {
   const uint64_t start_ns = NowNs();
-  // --partitions defaults to one execution partition per strand worker; 0 keeps the
-  // legacy loop-owned state. The config copy outlives the replica.
-  BasilConfig basil_cfg = cfg.basil;
-  basil_cfg.exec_partitions =
-      opt.partitions == UINT32_MAX ? opt.workers : opt.partitions;
-  BasilReplica replica(&rt, &basil_cfg, &topo, &keys);
+  // One execution partition per strand the runtime runs (docs/TRANSPORT.md
+  // "Strand execution").
+  BasilReplica replica(&rt, &cfg.basil, &topo, &keys);
 
   // Durable store: replay the WAL + snapshot into the version store before any
   // traffic, then catch up on missed commits from peers once the runtime is live.
@@ -277,7 +274,7 @@ int RunReplica(const DeployConfig& cfg, TcpRuntime& rt, const Topology& topo,
     return 1;
   }
   std::printf("READY replica %u shard %u workers %u partitions %u\n", rt.id(),
-              replica.shard(), rt.workers(), basil_cfg.exec_partitions);
+              replica.shard(), rt.workers(), rt.strands());
   std::fflush(stdout);
   // Transfer applications (fresh + re-offered) also bump "committed"; printing both
   // lets the cluster script separate real quorum participation from late chunks.
@@ -322,7 +319,7 @@ int RunReplica(const DeployConfig& cfg, TcpRuntime& rt, const Topology& topo,
       "STOPPED replica %u partitions=%u handled=%llu commits=%llu applied=%llu "
       "rejected=%llu offloaded=%llu posted=%llu fsyncs=%llu dropped=%llu "
       "pool_hits=%llu pool_misses=%llu pool_recycled_bytes=%llu\n",
-      rt.id(), basil_cfg.exec_partitions,
+      rt.id(), rt.strands(),
       static_cast<unsigned long long>(rt.messages_received()),
       static_cast<unsigned long long>(replica.counters().Get("committed")),
       static_cast<unsigned long long>(transfer_applied()),
@@ -516,7 +513,7 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &opt)) {
     std::fprintf(stderr,
                  "usage: basil_node --config <file> --id <node> [--data-dir D] "
-                 "[--workers W] [--partitions P] [--txns N] [--keys K] "
+                 "[--workers W] [--txns N] [--keys K] "
                  "[--timeout S] [--metrics-out PATH] [--metrics-interval S] "
                  "[--gateway [--sessions N] [--lanes K]]\n");
     return 1;

@@ -8,7 +8,8 @@
 // Merging is exact: histogram bucket counts add across processes, so the aggregated
 // p50/p95/p99 come from the merged distribution, never from averaging per-process
 // percentiles. Cluster throughput is derived from the client snapshots' protocol
-// counters ("commits") over the longest client uptime.
+// counters ("commits") over the longest client uptime, wire bytes from every
+// process's rt.net.bytes_sent counter.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -180,18 +181,9 @@ int Main(int argc, char** argv) {
   rr.tput_tps = client_uptime_ns > 0 ? static_cast<double>(commits) * 1e9 /
                                            static_cast<double>(client_uptime_ns)
                                      : 0;
-  // Latency comes from the merged client commit-span histogram (exact bucket
-  // sums across processes), so the cluster row carries real percentiles
-  // instead of zeros.
-  const obs::MetricId cid = merged.Find("span.client_commit_ns");
-  if (cid != obs::kInvalidMetric) {
-    if (const obs::Histogram* h = merged.histogram(cid);
-        h != nullptr && h->Count() > 0) {
-      rr.mean_ms = h->Mean() / 1e6;
-      rr.p50_ms = h->Quantile(0.5) / 1e6;
-      rr.p99_ms = h->Quantile(0.99) / 1e6;
-    }
-  }
+  // Latency from the merged client commit-span histogram, wire bytes from the
+  // processes' summed rt.net.bytes_sent counters.
+  FillFromMergedMetrics(merged, &rr);
   artifact.AddRow("cluster", rr);
   artifact.AddStages(merged);
   return artifact.WriteFile(out) ? 0 : 1;
